@@ -6,9 +6,9 @@
 //! ([`crate::BLOCK`]) but parameterizes the whole layer over the block side
 //! `B ∈ {8, 16}` so wider SIMD tiers have lanes to fill: the 16-wide
 //! geometry ([`crate::MAX_BLOCK`]) runs the i16 wavefront with all 16 AVX2
-//! lanes occupied per block anti-diagonal instead of 8. Geometry is chosen
-//! per task by [`BlockCtx::geometry_for`] (or forced via
-//! `AgathaConfig::with_block_dim` / `AGATHA_BLOCK` / `--block`), and every
+//! lanes occupied per block anti-diagonal instead of 8. The 8×8 tile is
+//! what the simulated device runs; 16×16 is only ever a forced choice
+//! (`AgathaConfig::with_block_dim` / `AGATHA_BLOCK` / `--block`). Every
 //! (geometry × precision) combination is bit-identical to the scalar
 //! reference — geometry only changes tiling, never scores.
 //!
@@ -24,7 +24,7 @@
 //! ## Staged tracker updates
 //!
 //! Instead of a per-cell callback into the tracker (which serialises the
-//! inner loop), [`compute_block`] writes its masked `H` values into a
+//! inner loop), [`compute_block_mode`] writes its masked `H` values into a
 //! [`BlockCellsT`] staging buffer — anti-diagonal-major, one validity
 //! bitmask per block diagonal — and the caller folds the whole block with
 //! one [`DiagTracker::on_block`] call. With the callback gone the fill
@@ -197,56 +197,6 @@ impl<'a> BlockCtx<'a> {
     pub fn with_profile(mut self, profile: Option<&'a crate::profile::QueryProfile>) -> Self {
         self.profile = profile;
         self
-    }
-
-    /// Pick the block side for one task: the wide (16×16) geometry exactly
-    /// when the full-width 16-lane i16 wavefront will actually run on it
-    /// and the task shape amortizes the larger staging buffers; the default
-    /// 8×8 geometry otherwise.
-    ///
-    /// The policy is deliberately conservative so that `auto` dispatch is
-    /// never slower than forced B=8:
-    ///
-    /// * scalar mode or a forced `I32` precision → B=8 (the i32 wavefront
-    ///   already fills its AVX2 vector at 8 lanes; B=16 i32 would fall back
-    ///   to the portable fill below the AVX-512 backend);
-    /// * below AVX2 → B=8 (SSE4.1 i16 vectors hold 8 lanes — nothing to
-    ///   gain); AVX2 and AVX-512 both qualify (16×i16 kernels exist for
-    ///   each);
-    /// * the i16 gate must hold *at the wide geometry* (16-wide blocks
-    ///   drift sentinels further; see [`BlockCtx::with_block_dim`]);
-    /// * both sequences must span at least two wide blocks and the band
-    ///   must admit at least a full wide diagonal (`w ≥ 16` or unbanded) —
-    ///   otherwise most 16-lane vectors would run partially masked and the
-    ///   larger per-block boundary work cannot amortize.
-    pub fn geometry_for(
-        n: usize,
-        m: usize,
-        scoring: &Scoring,
-        mode: FillMode,
-        precision: FillPrecision,
-    ) -> usize {
-        if mode != FillMode::Simd || precision == FillPrecision::I32 {
-            return BLOCK;
-        }
-        if !matches!(
-            crate::simd::backend(),
-            crate::simd::WavefrontBackend::Avx2 | crate::simd::WavefrontBackend::Avx512
-        ) {
-            return BLOCK;
-        }
-        let wide = BlockCtx::with_block_dim(n, m, scoring, MAX_BLOCK);
-        if !wide.i16_exact {
-            return BLOCK;
-        }
-        let (ni, mi) = (n as i64, m as i64);
-        if ni.min(mi) < 2 * MAX_BLOCK as i64 {
-            return BLOCK;
-        }
-        if scoring.banded() && (scoring.band_width as i64) < MAX_BLOCK as i64 {
-            return BLOCK;
-        }
-        MAX_BLOCK
     }
 
     /// Resolve the per-task fill implementation tier from the requested
@@ -506,15 +456,16 @@ impl FillPrecision {
 /// Requested block geometry. Orthogonal to both [`FillMode`] and
 /// [`FillPrecision`]: geometry picks the tiling (`B×B` block side), the
 /// others pick the fill implementation within a block.
-/// [`BlockCtx::geometry_for`] resolves `Auto` per task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockDim {
-    /// Per-task adaptive choice ([`BlockCtx::geometry_for`]).
+    /// The paper's 8×8 tile: the block the simulated device kernel runs and
+    /// the one its cost model prices.
     #[default]
-    Auto,
-    /// Force the paper's 8×8 geometry.
     B8,
-    /// Force the wide 16×16 geometry (16 i16 lanes per block diagonal).
+    /// Force the wide 16×16 tile (16 i16 lanes per block diagonal). Scores
+    /// are bit-identical, but the wider tile changes the simulated slice
+    /// schedule while each block is still priced with the 8×8 per-block
+    /// constants, so its simulated time is not the paper's kernel.
     B16,
 }
 
@@ -523,7 +474,6 @@ impl BlockDim {
     /// [`BlockDim::parse`].
     pub fn name(self) -> &'static str {
         match self {
-            BlockDim::Auto => "auto",
             BlockDim::B8 => "8",
             BlockDim::B16 => "16",
         }
@@ -533,25 +483,16 @@ impl BlockDim {
     /// the `AGATHA_BLOCK` environment override).
     pub fn parse(s: &str) -> Result<BlockDim, String> {
         match s.to_ascii_lowercase().as_str() {
-            "auto" => Ok(BlockDim::Auto),
             "8" | "b8" => Ok(BlockDim::B8),
             "16" | "b16" => Ok(BlockDim::B16),
-            other => Err(format!("invalid block dim '{other}': expected auto, 8 or 16")),
+            other => Err(format!("invalid block dim '{other}': expected 8 or 16")),
         }
     }
 
-    /// Resolve to a concrete block side for one task.
+    /// The block side this geometry tiles with.
     #[inline]
-    pub fn resolve(
-        self,
-        n: usize,
-        m: usize,
-        scoring: &Scoring,
-        mode: FillMode,
-        precision: FillPrecision,
-    ) -> usize {
+    pub fn side(self) -> usize {
         match self {
-            BlockDim::Auto => BlockCtx::geometry_for(n, m, scoring, mode, precision),
             BlockDim::B8 => BLOCK,
             BlockDim::B16 => MAX_BLOCK,
         }
@@ -584,18 +525,8 @@ impl FillTier {
     }
 }
 
-/// The build-time default fill: `Simd` iff the `simd` cargo feature is
-/// enabled.
-#[inline]
-pub fn default_fill_mode() -> FillMode {
-    if cfg!(feature = "simd") {
-        FillMode::Simd
-    } else {
-        FillMode::Scalar
-    }
-}
-
-/// Compute one block with the build-time default [`FillMode`].
+/// Compute one block with an explicit [`FillMode`] (the kernel resolves
+/// the mode per task; [`block_grid_align`] runs the scalar reference).
 ///
 /// * `rcodes`/`qcodes`: base codes for the block's reference/query spans
 ///   (N-padded past the sequence end, as [`PackedSeq::unpack_block`] yields).
@@ -605,38 +536,6 @@ pub fn default_fill_mode() -> FillMode {
 /// * Every cell's masked `H` lands in `cells`; the caller feeds the whole
 ///   block to the tracker at once via
 ///   [`crate::diag::DiagTracker::on_block`].
-#[allow(clippy::too_many_arguments)]
-pub fn compute_block<const B: usize>(
-    ctx: &BlockCtx<'_>,
-    i0: i64,
-    j0: i64,
-    rcodes: &[u8; B],
-    qcodes: &[u8; B],
-    corner: i32,
-    west_h: &mut BoundaryT<B>,
-    west_e: &mut BoundaryT<B>,
-    north_h: &mut BoundaryT<B>,
-    north_f: &mut BoundaryT<B>,
-    cells: &mut BlockCellsT<i32, B>,
-) {
-    compute_block_mode(
-        default_fill_mode(),
-        ctx,
-        i0,
-        j0,
-        rcodes,
-        qcodes,
-        corner,
-        west_h,
-        west_e,
-        north_h,
-        north_f,
-        cells,
-    );
-}
-
-/// [`compute_block`] with an explicit [`FillMode`] (benchmarks and the
-/// kernel's configuration toggle select the mode per run).
 #[allow(clippy::too_many_arguments)]
 pub fn compute_block_mode<const B: usize>(
     mode: FillMode,
@@ -664,7 +563,7 @@ pub fn compute_block_mode<const B: usize>(
     }
 }
 
-/// [`compute_block`] on the 16-bit tier: fills one block with the i16
+/// [`compute_block_mode`] on the 16-bit tier: fills one block with the i16
 /// wavefront ([`crate::simd::fill_wavefront_i16`]), staging masked `H`
 /// values into a [`BlockCells16`]-shaped buffer for
 /// [`crate::diag::DiagTracker::on_block_i16`]. Boundary carries stay `i32`
@@ -822,8 +721,8 @@ pub fn corner_read(ctx: &BlockCtx<'_>, i0: i64, j0: i64, row_h: &[i32]) -> i32 {
 
 /// Reference block-grid driver: computes the whole banded table block by
 /// block (query-block rows top-down, each sweeping its reference range) and
-/// returns the exact guided result. Runs at the default (8×8) geometry;
-/// [`block_grid_align_b`] takes an explicit geometry.
+/// returns the exact guided result. Runs the scalar fill at the default
+/// (8×8) geometry; [`block_grid_align_b`] takes an explicit geometry.
 ///
 /// This is the skeleton every GPU engine elaborates (with different tiling,
 /// checkpointing and cost accounting); it doubles as the validation target
@@ -869,7 +768,8 @@ pub fn block_grid_align_b<const B: usize>(
             let (mut north_h, mut north_f) = north_read::<B>(&ctx, i0, j0, &row_h, &row_f);
             // Corner for the *next* block in this sweep, read before overwrite.
             let next_corner = north_h[B - 1];
-            compute_block(
+            compute_block_mode(
+                FillMode::Scalar,
                 &ctx,
                 i0,
                 j0,
@@ -1072,58 +972,6 @@ mod tests {
         let wide = BlockCtx::with_block_dim(3, 3, &sc, MAX_BLOCK);
         assert!(!narrow.i16_exact && !wide.i16_exact);
         assert!(narrow.simd_exact && wide.simd_exact, "drift is tiny at i32 scale");
-    }
-
-    #[test]
-    fn geometry_policy_is_conservative() {
-        use crate::simd::WavefrontBackend;
-        // The `want` computation below observes the resolved backend, which
-        // forced-backend tests in `simd.rs` flip under this same lock.
-        let _guard = crate::simd::backend_test_lock();
-        let bwa = Scoring::preset_bwa();
-        // Scalar mode and forced-i32 precision never pick the wide geometry.
-        assert_eq!(
-            BlockCtx::geometry_for(240, 240, &bwa, FillMode::Scalar, FillPrecision::Auto),
-            BLOCK
-        );
-        assert_eq!(
-            BlockCtx::geometry_for(240, 240, &bwa, FillMode::Simd, FillPrecision::I32),
-            BLOCK
-        );
-        // Short sequences and narrow bands stay at 8 even when i16 is exact.
-        assert_eq!(
-            BlockCtx::geometry_for(20, 20, &bwa, FillMode::Simd, FillPrecision::Auto),
-            BLOCK
-        );
-        let narrow_band = bwa.with_band(8);
-        assert_eq!(
-            BlockCtx::geometry_for(240, 240, &narrow_band, FillMode::Simd, FillPrecision::Auto),
-            BLOCK
-        );
-        // Overflowing scoring can never run the 16-lane i16 kernel.
-        let hot = Scoring::new(1 << 12, 4, 6, 1, Scoring::NO_ZDROP, Scoring::NO_BAND);
-        assert_eq!(
-            BlockCtx::geometry_for(240, 240, &hot, FillMode::Simd, FillPrecision::Auto),
-            BLOCK
-        );
-        // The amortizable short-read shape picks 16 exactly on AVX2-or-wider
-        // hosts (both have a 16×i16 kernel).
-        let want = if matches!(
-            crate::simd::backend(),
-            WavefrontBackend::Avx2 | WavefrontBackend::Avx512
-        ) {
-            MAX_BLOCK
-        } else {
-            BLOCK
-        };
-        assert_eq!(
-            BlockCtx::geometry_for(240, 240, &bwa, FillMode::Simd, FillPrecision::Auto),
-            want
-        );
-        assert_eq!(
-            BlockCtx::geometry_for(240, 240, &bwa, FillMode::Simd, FillPrecision::I16),
-            want
-        );
     }
 
     #[test]

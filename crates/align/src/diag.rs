@@ -914,7 +914,9 @@ mod tests {
         // another block by block (staged through BlockCells); every
         // observable (result, frontier behaviour, run-ahead skips) must
         // agree, including the ascending-i tie-break on equal scores.
-        use crate::block::{compute_block, corner_read, north_read, west_init, BlockCtx};
+        use crate::block::{
+            compute_block_mode, corner_read, north_read, west_init, BlockCtx, FillMode,
+        };
         use crate::BLOCK;
 
         let cases = [
@@ -944,8 +946,18 @@ mod tests {
                     rp.unpack_block(i0 as usize, &mut rb);
                     let (mut nh, mut nf) = north_read(&ctx, i0, j0, &row_h, &row_f);
                     let next_corner = nh[BLOCK - 1];
-                    compute_block(
-                        &ctx, i0, j0, &rb, &qb, corner, &mut wh, &mut we, &mut nh, &mut nf,
+                    compute_block_mode(
+                        FillMode::Scalar,
+                        &ctx,
+                        i0,
+                        j0,
+                        &rb,
+                        &qb,
+                        corner,
+                        &mut wh,
+                        &mut we,
+                        &mut nh,
+                        &mut nf,
                         &mut cells,
                     );
                     per_block.on_block(&cells);

@@ -12,8 +12,7 @@
 //!   full), otherwise a portable fixed-lane wavefront that LLVM
 //!   auto-vectorises. At B=16 the i32 path is intentionally the portable
 //!   wavefront: AVX2 has no wider i32 vector to fill, so there is nothing
-//!   for a hand-written kernel to win (the adaptive geometry policy never
-//!   picks B=16 for the i32 tier).
+//!   for a hand-written kernel to win (B=16 is only ever forced).
 //! * [`fill_wavefront_i16`]: at B=8 the SSE4.1 kernel (8×i16, AVX2-encoded
 //!   on AVX2 hosts); at B=16 the wide AVX2 kernel that fills all 16 i16
 //!   lanes of a 256-bit vector per block diagonal — the payoff geometry.
@@ -299,8 +298,8 @@ pub fn backend_choice() -> BackendChoice {
 }
 
 /// Serializes tests that flip the process-wide [`BackendChoice`] against
-/// tests whose *assertions* observe [`backend()`] (e.g. the geometry
-/// policy test in `block.rs`). Result-only comparisons don't need it —
+/// tests whose *assertions* observe [`backend()`] (e.g. the forced-backend
+/// sweeps in this module's tests). Result-only comparisons don't need it —
 /// every backend is bit-identical by contract.
 #[cfg(test)]
 pub(crate) fn backend_test_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -422,8 +421,8 @@ pub(crate) fn fill_wavefront<const B: usize>(
     }
     // B=16 i32 runs portable below AVX-512 by design: AVX2 i32 vectors are
     // full at 8 lanes, so only a 16×i32 zmm has room for the wide geometry
-    // (the adaptive policy picks B=16 for the i16 tier; the i32 zmm fill
-    // serves forced-B16 runs and per-task i16→i32 demotions inside them).
+    // (the i32 zmm fill serves forced-B16 runs and per-task i16→i32
+    // demotions inside them).
     fill_portable(ctx, i0, j0, rcodes, qcodes, corner, west_h, west_e, north_h, north_f, cells)
 }
 

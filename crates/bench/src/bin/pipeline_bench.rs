@@ -4,18 +4,16 @@
 //! (d) the SIMD (wavefront) vs scalar block fill on the same fixed-seed
 //! dataset, (e) the i16 vs i32 wavefront tiers on a fixed-seed short-read
 //! workload (the regime whose scores provably fit i16), and (f) the narrow
-//! (8×8) vs wide (16×16) block geometry — forced and adaptive — on that
-//! same workload, plus (g) the streaming overlap rows: FASTA-file
+//! (8×8) vs forced wide (16×16) block geometry on that same workload, plus (g) the streaming overlap rows: FASTA-file
 //! streaming with the parser inline vs on a prefetch reader thread
 //! (`stream_prefetch_speedup`) and the simulated-makespan effect of
 //! cross-chunk carry-over packing (`carryover_makespan_gain`), both per
 //! chunk size {8, 32, 64, 256}. Writes `BENCH_pipeline.json` so CI tracks
 //! the perf trajectory run over run.
 //!
-//! Every fill path is always compiled (the `simd` cargo feature only flips
-//! the *default*), so one binary reports the whole scalar/i32/i16 matrix
-//! regardless of how it was built; `default_fill` records which mode the
-//! build would pick on its own, `default_precision` the process-default
+//! Every fill path is always compiled, so one binary reports the whole
+//! scalar/i32/i16 matrix; `default_fill` records the fill mode the default
+//! configuration resolves to, `default_precision` the process-default
 //! precision (the `AGATHA_PRECISION` override), and `fill_backend` which
 //! wavefront backend (AVX-512, AVX2, SSE4.1 or portable) this machine
 //! resolves — without it, per-tier rows from different machines were not
@@ -36,7 +34,7 @@
 
 use std::time::Instant;
 
-use agatha_align::{BlockDim, FillPrecision, FillTier, Scoring, Task};
+use agatha_align::{BlockDim, FillMode, FillPrecision, FillTier, Scoring, Task};
 use agatha_core::{kernel::run_task, run_task_ws, AgathaConfig, KernelWorkspace, Pipeline};
 use agatha_datasets::{generate, scenarios, DatasetSpec, Tech, SCENARIOS};
 
@@ -60,8 +58,7 @@ fn scenario_rows(which: &[&'static scenarios::Scenario]) -> String {
             let sc = (s.scoring)();
             let tasks = (s.tasks)(SEED, SCENARIO_READS);
             // Share of tasks the i16 exactness gate admits, from the gate
-            // derivation itself (the build's default fill mode would hide
-            // it behind feature flags).
+            // derivation itself (independent of any precision override).
             let i16_tasks = tasks
                 .iter()
                 .filter(|t| {
@@ -188,9 +185,8 @@ fn main() {
     // long enough that per-cell compute — not allocation — dominates, the
     // regime the wavefront fill targets). Both runs use one reused
     // workspace so the comparison isolates the fill, and both pin the
-    // paper's 8×8 geometry: the adaptive dispatch would widen only the
-    // simd side, folding a tiling change into a fill comparison (and
-    // breaking the block-count checksum).
+    // paper's 8×8 geometry so an `AGATHA_BLOCK` override cannot fold a
+    // tiling change into the fill comparison.
     let mut fill_secs = [0.0f64; 2];
     let mut fill_sums = [0u64; 2];
     for (slot, simd) in [(0usize, false), (1usize, true)] {
@@ -211,9 +207,9 @@ fn main() {
     // methodology as the simd/scalar pair above. The i32/i16 slots pin the
     // paper's 8×8 geometry so their rows stay comparable to the tracked
     // history; the b16 slot forces the wide 16×16 tile (16 i16 lanes per
-    // block diagonal instead of 8) and the auto slot lets the per-task
-    // dispatch choose. Checksums sum *scores*, not blocks (block counts are
-    // tiling artifacts), so their equality asserts geometry bit-identity.
+    // block diagonal instead of 8). Checksums sum *scores*, not blocks
+    // (block counts are tiling artifacts), so their equality asserts
+    // geometry bit-identity.
     let short_scoring = Scoring::preset_bwa();
     let short_tasks: Vec<Task> = (0..1500u64)
         .map(|i| {
@@ -230,14 +226,13 @@ fn main() {
             Task::from_strs(i as u32, &r, &q)
         })
         .collect();
-    let tier_cases: [(FillPrecision, BlockDim, Option<FillTier>); 4] = [
-        (FillPrecision::I32, BlockDim::B8, Some(FillTier::I32)),
-        (FillPrecision::I16, BlockDim::B8, Some(FillTier::I16)),
-        (FillPrecision::I16, BlockDim::B16, Some(FillTier::I16)),
-        (FillPrecision::I16, BlockDim::Auto, None),
+    let tier_cases: [(FillPrecision, BlockDim, FillTier); 3] = [
+        (FillPrecision::I32, BlockDim::B8, FillTier::I32),
+        (FillPrecision::I16, BlockDim::B8, FillTier::I16),
+        (FillPrecision::I16, BlockDim::B16, FillTier::I16),
     ];
-    let mut tier_secs = [0.0f64; 4];
-    let mut tier_sums = [0u64; 4];
+    let mut tier_secs = [0.0f64; 3];
+    let mut tier_sums = [0u64; 3];
     for (slot, &(precision, block, want)) in tier_cases.iter().enumerate() {
         let cfg = pipeline
             .config
@@ -247,16 +242,14 @@ fn main() {
             .with_block_dim(block);
         // Every short-read task must actually resolve to the requested tier
         // or the speedup rows would silently compare the wrong kernels.
-        if let Some(want) = want {
-            for t in &short_tasks {
-                assert_eq!(
-                    cfg.fill_tier_for(t.ref_len(), t.query_len(), &short_scoring),
-                    want,
-                    "short-read workload must stay inside the {} gate at block {}",
-                    want.name(),
-                    block.name()
-                );
-            }
+        for t in &short_tasks {
+            assert_eq!(
+                cfg.fill_tier_for(t.ref_len(), t.query_len(), &short_scoring),
+                want,
+                "short-read workload must stay inside the {} gate at block {}",
+                want.name(),
+                block.name()
+            );
         }
         let mut ws = KernelWorkspace::new();
         let (secs, sum) = best_of(|| {
@@ -470,7 +463,6 @@ fn main() {
          \"kernel_i16_fill_tasks_per_sec\": {:.1},\n  \
          \"i16_fill_speedup\": {:.3},\n  \
          \"kernel_b16_fill_tasks_per_sec\": {:.1},\n  \
-         \"kernel_auto_geom_tasks_per_sec\": {:.1},\n  \
          \"geometry_speedup\": {:.3},\n  \
          \"kernel_avx2_fill_tasks_per_sec\": {:.1},\n  \
          \"kernel_avx512_fill_tasks_per_sec\": {:.1},\n  \
@@ -483,7 +475,10 @@ fn main() {
          \"carryover_makespan_gain\": {},\n  \
          \"stream_vs_whole_chunk64\": {:.3},\n{}\n}}\n",
         tasks.len(),
-        if cfg!(feature = "simd") { "simd" } else { "scalar" },
+        match AgathaConfig::agatha().fill_mode() {
+            FillMode::Simd => "simd",
+            FillMode::Scalar => "scalar",
+        },
         agatha_core::options::default_fill_precision().name(),
         agatha_core::options::default_block_dim().name(),
         agatha_align::simd::backend().name(),
@@ -500,7 +495,6 @@ fn main() {
         tps(tier_secs[1], short_tasks.len()),
         tier_secs[0] / tier_secs[1],
         tps(tier_secs[2], short_tasks.len()),
-        tps(tier_secs[3], short_tasks.len()),
         tier_secs[1] / tier_secs[2],
         tps(backend_secs[0], short_tasks.len()),
         tps(backend_secs[1], short_tasks.len()),

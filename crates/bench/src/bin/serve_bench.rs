@@ -207,7 +207,7 @@ fn main() {
 
     let body: Vec<String> = points.iter().map(point_json).collect();
     // The kernel configuration the daemon actually served with: block
-    // geometry (`AGATHA_BLOCK` override, else the adaptive default), fill
+    // geometry (`AGATHA_BLOCK` override, else the paper's 8×8 tile), fill
     // precision (`AGATHA_PRECISION`), and the resolved wavefront backend
     // (`AGATHA_BACKEND`, clamped to what the CPU supports). Serving numbers
     // from different kernel configs are not comparable, same as

@@ -125,10 +125,13 @@ common options:
                   auto | i32 | i16. auto/i16 run the 16-bit wavefront on
                   every task whose scores provably fit i16 and demote the
                   rest to i32 — results are bit-identical across tiers
-  --block B       host block geometry (agatha engine only): auto | 8 | 16.
-                  auto widens to 16x16 blocks (16 i16 lanes per diagonal)
-                  on tasks where the wider tile amortises its staging cost;
-                  results are bit-identical across geometries
+  --block B       host block geometry (agatha engine only): 8 | 16.
+                  8 is the simulated device tile. 16 forces 16x16 blocks
+                  (16 i16 lanes per diagonal): scores are bit-identical,
+                  but it changes the simulated slice schedule and is
+                  priced with the 8x8 per-block constants, so its
+                  simulated time is not the paper's kernel. Defaults to
+                  the AGATHA_BLOCK environment variable when set, else 8
   --backend K     host wavefront backend (agatha engine only): auto |
                   avx512 | avx2 | sse41 | portable. auto runs the best
                   implementation the CPU supports; forcing a level the CPU
@@ -225,11 +228,11 @@ struct HostOpts {
     gpus: usize,
     threads: usize,
     chunk: usize,
-    /// `--precision` when given explicitly (also forces the wavefront fill
-    /// on); `None` keeps the build/environment default.
+    /// `--precision` when given explicitly; `None` keeps the environment
+    /// default.
     precision: Option<FillPrecision>,
-    /// `--block` when given explicitly; `None` keeps the build/environment
-    /// default (adaptive per-task geometry).
+    /// `--block` when given explicitly; `None` keeps the environment
+    /// default (the paper's 8×8 tile).
     block: Option<BlockDim>,
     /// `--backend` when given explicitly; `None` keeps the environment
     /// default (`AGATHA_BACKEND`, else best detected).
@@ -263,7 +266,7 @@ fn host_opts(args: &Args) -> Result<HostOpts, String> {
     };
     let block = match args.get("block") {
         None => None,
-        Some(v) => Some(BlockDim::parse(v).map_err(|e| format!("{e}\nusage: --block auto|8|16"))?),
+        Some(v) => Some(BlockDim::parse(v).map_err(|e| format!("{e}\nusage: --block 8|16"))?),
     };
     let backend = match args.get("backend") {
         None => None,
@@ -308,19 +311,16 @@ fn host_opts(args: &Args) -> Result<HostOpts, String> {
     })
 }
 
-/// The kernel configuration implied by the host options: full AGAThA, with
-/// an explicit `--precision` both selecting the tier and switching the
-/// wavefront fill on (requesting a lane width only makes sense for the
-/// vectorised fill, whatever the build-time default). `--block` pins the
-/// block geometry but leaves the fill mode alone: the tiling is valid (and
-/// bit-identical) under every fill implementation.
+/// The kernel configuration implied by the host options: full AGAThA (whose
+/// wavefront fill is on by default), with `--precision` pinning the lane
+/// tier and `--block` the block geometry.
 fn agatha_config(opts: &HostOpts) -> AgathaConfig {
     // `AgathaConfig::agatha()` installs the `AGATHA_BACKEND` environment
     // default process-wide; an explicit `--backend` then overwrites it, so
     // the documented env < flag precedence falls out of the ordering here.
     let mut cfg = AgathaConfig::agatha();
     if let Some(p) = opts.precision {
-        cfg = cfg.with_simd_fill(true).with_fill_precision(p);
+        cfg = cfg.with_fill_precision(p);
     }
     if let Some(b) = opts.block {
         cfg = cfg.with_block_dim(b);
@@ -364,7 +364,7 @@ impl TierStats {
         if wants_i16 && tier != FillTier::I16 {
             self.demoted += 1;
         }
-        let b = if cfg.block_dim_for(n, m, scoring) == agatha_align::BLOCK { 0 } else { 1 };
+        let b = if cfg.block_dim == BlockDim::B8 { 0 } else { 1 };
         self.blocks[b] += 1;
         let k = match agatha_align::simd::backend() {
             WavefrontBackend::Avx512 => 0,

@@ -428,8 +428,8 @@ fn precision_rejected_for_baseline_engines() {
 #[test]
 fn block_geometry_is_forceable_and_bit_identical() {
     // `--block 8` and `--block 16` must both be accepted and score
-    // identically (and identically to the adaptive default): geometry is
-    // a tiling choice, never a numerics choice.
+    // identically (and identically to the default 8×8 tile): geometry is a
+    // tiling choice, never a numerics choice.
     let dir = std::env::temp_dir().join(format!("agatha_cli_blk_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let refs = dir.join("ref.fasta");
@@ -457,9 +457,7 @@ fn block_geometry_is_forceable_and_bit_identical() {
     };
     let (narrow, narrow_text) = run("8", "b8");
     let (wide, wide_text) = run("16", "b16");
-    let (auto, _) = run("auto", "auto");
     assert_eq!(narrow, wide, "scores must be bit-identical across geometries");
-    assert_eq!(narrow, auto, "adaptive geometry must not change scores");
     assert_eq!(narrow.lines().count(), 6);
     // The --verbose geometry line reflects the forced tiling.
     assert!(narrow_text.contains("block geometry: b8=6 b16=0"), "stdout: {narrow_text}");
@@ -484,7 +482,7 @@ fn block_bogus_is_a_usage_error() {
     assert!(!out.status.success(), "--block 12 must fail");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        err.contains("'12'") && err.contains("--block") && err.contains("auto|8|16"),
+        err.contains("'12'") && err.contains("--block") && err.contains("usage: --block 8|16"),
         "stderr must carry a usage message: {err}"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -10,7 +10,7 @@
 
 use agatha_align::block::{
     compute_block_i16, compute_block_mode, corner_read, north_read, west_init, BlockCellsT,
-    BlockCtx, FillMode, FillTier,
+    BlockCtx, BlockDim, FillMode, FillTier,
 };
 use agatha_align::diag::DiagTracker;
 use agatha_align::{GuidedResult, QueryProfile, Scoring, Task, BLOCK, MAX_BLOCK, NEG_INF};
@@ -30,8 +30,8 @@ pub struct TaskRun {
     pub units: Vec<SliceUnit>,
     /// Total blocks computed (including run-ahead).
     pub blocks: u64,
-    /// Block side this task was tiled with (the per-task resolution of
-    /// [`AgathaConfig::block_dim_for`]): 8 or 16.
+    /// Block side this task was tiled with ([`AgathaConfig::block_dim`]):
+    /// 8 or 16.
     pub block_dim: u32,
 }
 
@@ -198,19 +198,18 @@ pub fn run_task(task: &Task, scoring: &Scoring, cfg: &AgathaConfig) -> TaskRun {
 /// workspace was previously used for.
 ///
 /// Geometry dispatch happens here, once per task: the configured
-/// [`agatha_align::block::BlockDim`] resolves to a concrete block side
-/// (adaptive under `Auto`) and selects the matching monomorphization of the
-/// kernel body. The alignment result is bit-identical across geometries;
-/// only the tiling (unit schedules, block counts) differs.
+/// [`agatha_align::block::BlockDim`] selects the matching monomorphization
+/// of the kernel body. The alignment result is bit-identical across
+/// geometries; only the tiling (unit schedules, block counts) differs.
 pub fn run_task_ws(
     ws: &mut KernelWorkspace,
     task: &Task,
     scoring: &Scoring,
     cfg: &AgathaConfig,
 ) -> TaskRun {
-    match cfg.block_dim_for(task.ref_len(), task.query_len(), scoring) {
-        MAX_BLOCK => run_task_geom::<MAX_BLOCK>(ws, task, scoring, cfg),
-        _ => run_task_geom::<BLOCK>(ws, task, scoring, cfg),
+    match cfg.block_dim {
+        BlockDim::B16 => run_task_geom::<MAX_BLOCK>(ws, task, scoring, cfg),
+        BlockDim::B8 => run_task_geom::<BLOCK>(ws, task, scoring, cfg),
     }
 }
 
@@ -659,9 +658,8 @@ mod tests {
     }
 
     /// Serializes tests that flip the process-wide backend choice with
-    /// tests whose observables depend on the installed backend (Auto
-    /// geometry resolution, allocation steady-state, buffer-reuse pointer
-    /// identity). Alignment *results* are bit-identical across backends,
+    /// tests whose observables depend on the installed backend (allocation
+    /// steady-state, buffer-reuse pointer identity). Alignment *results* are bit-identical across backends,
     /// so result-only tests need no guard.
     fn backend_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -712,11 +710,10 @@ mod tests {
     fn simd_and_scalar_fill_produce_identical_runs() {
         // Full TaskRun equality (results, unit schedules, block counts)
         // between the two fill paths, across every configuration and the
-        // mixed task set (including z-drop early termination). Geometry is
-        // pinned so both paths tile identically — the scalar fill never
-        // resolves to the wide geometry under Auto, and TaskRun equality is
-        // only meaningful at one tiling; cross-geometry identity is covered
-        // by `geometries_produce_identical_results`.
+        // mixed task set (including z-drop early termination), at each
+        // pinned geometry: TaskRun equality is only meaningful at one
+        // tiling; cross-geometry identity is covered by
+        // `geometries_produce_identical_results`.
         use agatha_align::block::BlockDim;
         let (tasks, s) = mixed_tasks();
         for bd in [BlockDim::B8, BlockDim::B16] {
@@ -779,18 +776,15 @@ mod tests {
         // schedules, block counts, block_dim) may differ — and workspace
         // recycling must carry no state across geometry switches.
         use agatha_align::block::BlockDim;
-        let _guard = backend_lock();
         let (tasks, s) = mixed_tasks();
         for cfg in all_configs() {
             let cfg8 = cfg.clone().with_block_dim(BlockDim::B8);
             let cfg16 = cfg.clone().with_block_dim(BlockDim::B16);
-            let auto = cfg.clone().with_block_dim(BlockDim::Auto);
             let mut ws = KernelWorkspace::new();
             for t in &tasks {
                 let narrow = run_task(t, &s, &cfg8);
                 let wide = run_task_ws(&mut ws, t, &s, &cfg16);
                 let narrow_reused = run_task_ws(&mut ws, t, &s, &cfg8);
-                let adaptive = run_task_ws(&mut ws, t, &s, &auto);
                 assert_eq!(narrow.block_dim, 8);
                 assert_eq!(wide.block_dim, 16);
                 assert_eq!(
@@ -801,15 +795,6 @@ mod tests {
                 // Same geometry after a wide run on the same workspace:
                 // full TaskRun equality proves recycling holds across B.
                 assert_eq!(narrow, narrow_reused, "config {cfg:?}, task {}", t.id);
-                // Auto resolves per task; whatever it picks, the result is
-                // the same and the pick matches the config resolver.
-                assert_eq!(narrow.result, adaptive.result, "config {cfg:?}, task {}", t.id);
-                assert_eq!(
-                    adaptive.block_dim as usize,
-                    auto.block_dim_for(t.ref_len(), t.query_len(), &s),
-                    "config {cfg:?}, task {}",
-                    t.id
-                );
             }
         }
     }

@@ -28,12 +28,12 @@ pub fn default_fill_precision() -> FillPrecision {
 }
 
 /// Process-default [`BlockDim`]: the `AGATHA_BLOCK` environment variable
-/// (`auto` | `8` | `16`) when set, else `Auto` — the geometry analogue of
-/// [`default_fill_precision`], and the lever CI uses to force the whole
+/// (`8` | `16`) when set, else the paper's 8×8 tile — the geometry analogue
+/// of [`default_fill_precision`], and the lever CI uses to force the whole
 /// suite through one block geometry.
 pub fn default_block_dim() -> BlockDim {
     static CACHE: OnceLock<BlockDim> = OnceLock::new();
-    *CACHE.get_or_init(|| env_override("AGATHA_BLOCK", BlockDim::Auto, BlockDim::parse))
+    *CACHE.get_or_init(|| env_override("AGATHA_BLOCK", BlockDim::B8, BlockDim::parse))
 }
 
 /// Process-default wavefront backend: the `AGATHA_BACKEND` environment
@@ -141,9 +141,10 @@ pub struct AgathaConfig {
     pub use_dpx: bool,
     /// Host-side block fill implementation: `true` selects the vectorised
     /// anti-diagonal wavefront ([`agatha_align::block::FillMode::Simd`]),
-    /// `false` the scalar row-major fill. Both are bit-identical; this only
-    /// changes host wall-time, never results or cost accounting. Defaults
-    /// to the build-time `simd` cargo feature.
+    /// `false` the scalar row-major reference fill. Both are bit-identical;
+    /// this only changes host wall-time, never results or cost accounting.
+    /// Defaults to `true`; each task still demotes to the scalar fill when
+    /// its exactness gate fails.
     pub simd_fill: bool,
     /// Lane precision preferred by the wavefront fill (ignored when
     /// `simd_fill` is off): `Auto`/`I16` run the 16-bit wavefront on every
@@ -154,13 +155,12 @@ pub struct AgathaConfig {
     /// bit-identical across all tiers. Defaults to the `AGATHA_PRECISION`
     /// environment override, else `Auto`.
     pub fill_precision: FillPrecision,
-    /// Block geometry for the host-side fill: `Auto` resolves the block
-    /// side per task ([`agatha_align::block::BlockCtx::geometry_for`] picks
-    /// 16×16 when the task amortizes the wider staging, else the paper's
-    /// 8×8), `B8`/`B16` force one side. Orthogonal to `fill_precision`:
+    /// Block geometry for the host-side fill: `B8` is the paper's device
+    /// tile, `B16` a forced wide tile. Orthogonal to `fill_precision`:
     /// geometry picks the tiling, precision the lane width within it, and
-    /// every (geometry × precision) pair is bit-identical. Defaults to the
-    /// `AGATHA_BLOCK` environment override, else `Auto`.
+    /// every (geometry × precision) pair is bit-identical in scores. Only
+    /// `B8` reproduces the simulated kernel (see [`BlockDim::B16`]).
+    /// Defaults to the `AGATHA_BLOCK` environment override, else `B8`.
     pub block_dim: BlockDim,
 }
 
@@ -182,7 +182,7 @@ impl AgathaConfig {
             tasks_per_subwarp: 2,
             lmb_max_diags: 64,
             use_dpx: false,
-            simd_fill: cfg!(feature = "simd"),
+            simd_fill: true,
             fill_precision: default_fill_precision(),
             block_dim: default_block_dim(),
         }
@@ -277,17 +277,8 @@ impl AgathaConfig {
         m: usize,
         scoring: &agatha_align::Scoring,
     ) -> agatha_align::block::FillTier {
-        let b = self.block_dim_for(n, m, scoring);
-        agatha_align::block::BlockCtx::with_block_dim(n, m, scoring, b)
+        agatha_align::block::BlockCtx::with_block_dim(n, m, scoring, self.block_dim.side())
             .fill_tier(self.fill_mode(), self.fill_precision)
-    }
-
-    /// The block side this configuration resolves to for an `n × m` task —
-    /// the geometry analogue of [`AgathaConfig::fill_tier_for`], again the
-    /// exact per-task decision [`crate::kernel::run_task_ws`] makes.
-    #[inline]
-    pub fn block_dim_for(&self, n: usize, m: usize, scoring: &agatha_align::Scoring) -> usize {
-        self.block_dim.resolve(n, m, scoring, self.fill_mode(), self.fill_precision)
     }
 
     /// Set the subwarp size (Fig. 14).
@@ -344,7 +335,7 @@ mod tests {
         );
         std::env::set_var("AGATHA_TEST_BLOCK_OK", "16");
         assert_eq!(
-            env_override("AGATHA_TEST_BLOCK_OK", BlockDim::Auto, BlockDim::parse),
+            env_override("AGATHA_TEST_BLOCK_OK", BlockDim::B8, BlockDim::parse),
             BlockDim::B16
         );
         std::env::set_var("AGATHA_TEST_SCENARIO_OK", " protein-blosum62 ");
@@ -358,7 +349,7 @@ mod tests {
     #[should_panic(expected = "AGATHA_TEST_BLOCK_BAD environment override")]
     fn env_override_panics_on_garbage() {
         std::env::set_var("AGATHA_TEST_BLOCK_BAD", "7");
-        env_override("AGATHA_TEST_BLOCK_BAD", BlockDim::Auto, BlockDim::parse);
+        env_override("AGATHA_TEST_BLOCK_BAD", BlockDim::B8, BlockDim::parse);
     }
 
     #[test]
@@ -418,7 +409,7 @@ mod tests {
     fn agatha_block_garbage_names_the_variable() {
         prime_default_caches();
         std::env::set_var("AGATHA_BLOCK", "12");
-        env_override("AGATHA_BLOCK", BlockDim::Auto, BlockDim::parse);
+        env_override("AGATHA_BLOCK", BlockDim::B8, BlockDim::parse);
     }
 
     #[test]
@@ -504,40 +495,33 @@ mod tests {
 
     #[test]
     fn block_dim_names_parse() {
-        assert_eq!(BlockDim::parse("auto"), Ok(BlockDim::Auto));
         assert_eq!(BlockDim::parse("8"), Ok(BlockDim::B8));
         assert_eq!(BlockDim::parse("B16"), Ok(BlockDim::B16));
         let err = BlockDim::parse("12").unwrap_err();
-        assert!(err.contains("'12'") && err.contains("auto"), "{err}");
+        assert!(err.contains("'12'") && err.contains("8 or 16"), "{err}");
+        // The adaptive geometry is gone: `auto` is no longer a geometry.
+        assert!(BlockDim::parse("auto").is_err());
     }
 
     #[test]
-    fn block_dim_resolution_is_per_task() {
+    fn block_dim_defaults_to_paper_tile() {
+        use agatha_align::block::FillTier;
         use agatha_align::{BLOCK, MAX_BLOCK};
         let s = agatha_align::Scoring::preset_bwa();
-        let cfg = AgathaConfig::agatha().with_simd_fill(true).with_block_dim(BlockDim::Auto);
-        // Forced geometries resolve to themselves regardless of the task.
-        assert_eq!(cfg.clone().with_block_dim(BlockDim::B8).block_dim_for(240, 240, &s), BLOCK);
-        assert_eq!(
-            cfg.clone().with_block_dim(BlockDim::B16).block_dim_for(240, 240, &s),
-            MAX_BLOCK
-        );
-        // Auto under the scalar fill always stays at the paper geometry
-        // (the wide side only pays off via the 16-lane i16 wavefront).
-        let scalar = cfg.clone().with_simd_fill(false);
-        assert_eq!(scalar.block_dim_for(240, 240, &s), BLOCK);
-        // Auto with the i32 precision pin also stays narrow.
-        let wide_lanes = cfg.clone().with_fill_precision(FillPrecision::I32);
-        assert_eq!(wide_lanes.block_dim_for(240, 240, &s), BLOCK);
-        // Tiny tasks never pick the wide geometry.
-        assert_eq!(cfg.block_dim_for(16, 16, &s), BLOCK);
-        // The fill tier resolver agrees with the geometry resolver's pick
-        // (a B16-forced short read still proves the i16 gate).
-        if cfg!(feature = "simd") {
-            use agatha_align::block::FillTier;
-            let forced = cfg.with_block_dim(BlockDim::B16);
-            assert_eq!(forced.fill_tier_for(240, 240, &s), FillTier::I16);
+        // Without an AGATHA_BLOCK override every config tiles like the
+        // simulated device (CI's forced-geometry legs set one).
+        if std::env::var_os("AGATHA_BLOCK").is_none() {
+            assert_eq!(AgathaConfig::agatha().block_dim, BlockDim::B8);
         }
+        assert_eq!(BlockDim::default(), BlockDim::B8);
+        assert_eq!(BlockDim::B8.side(), BLOCK);
+        assert_eq!(BlockDim::B16.side(), MAX_BLOCK);
+        // The wavefront is on by default, and a forced 16×16 short read
+        // still proves the i16 gate at the wide geometry.
+        let cfg = AgathaConfig::agatha().with_fill_precision(FillPrecision::Auto);
+        assert!(cfg.simd_fill);
+        let forced = cfg.with_block_dim(BlockDim::B16);
+        assert_eq!(forced.fill_tier_for(240, 240, &s), FillTier::I16);
     }
 
     #[test]

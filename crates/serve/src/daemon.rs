@@ -296,6 +296,9 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     let cancel = Arc::new(AtomicBool::new(false));
     let mut input = stream;
     let mut buf = Vec::new();
+    // Bytes of `buf` already searched for a newline: each read scans only
+    // what it added, so a line spanning many reads costs linear time.
+    let mut scanned = 0;
     let mut chunk = [0u8; 8192];
     'outer: loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -309,9 +312,12 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             }
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
-                while let Some(eol) = buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = buf.drain(..=eol).collect();
-                    let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
+                let mut line_start = 0;
+                while let Some(off) = buf[scanned..].iter().position(|&b| b == b'\n') {
+                    let eol = scanned + off;
+                    scanned = eol + 1;
+                    let line = String::from_utf8_lossy(&buf[line_start..eol]);
+                    line_start = scanned;
                     if line.trim().is_empty() {
                         continue;
                     }
@@ -319,6 +325,9 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                         break 'outer;
                     }
                 }
+                // Drop the consumed lines once per read, not once per line.
+                buf.drain(..line_start);
+                scanned = buf.len();
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock

@@ -290,3 +290,53 @@ fn zero_window_and_zero_queue_are_usage_errors() {
     cfg.max_batch = 0;
     assert!(err(cfg).contains("batch"));
 }
+
+#[test]
+fn trickled_and_multi_mib_lines_get_exactly_one_reply_each() {
+    use std::io::{BufRead, BufReader, Write};
+    // One request trickled a byte per write, then one multi-MiB request
+    // line (a 4 MiB reference against a short query), on one connection:
+    // the reader must reassemble each line whole and answer it once.
+    let small = pairs(1, 60, 91).remove(0);
+    let (_, query) = pairs(1, 40, 93).remove(0);
+    let mut long_ref = query.clone();
+    long_ref.push_str(&"ACGT".repeat(1 << 20));
+    let corpus = vec![small, (long_ref, query)];
+    let want = reference_scores(&corpus);
+    let handle = start(|_| {});
+    let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut reply = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        agatha_serve::parse_response(line.trim_end()).unwrap()
+    };
+
+    let trickled = agatha_serve::protocol::align_request_line(0, &corpus[0].0, &corpus[0].1, None);
+    for b in trickled.bytes().chain(std::iter::once(b'\n')) {
+        writer.write_all(&[b]).unwrap();
+    }
+    let long_line = agatha_serve::protocol::align_request_line(1, &corpus[1].0, &corpus[1].1, None);
+    assert!(long_line.len() > 4 << 20);
+    writer.write_all(long_line.as_bytes()).unwrap();
+    writer.write_all(b"\n").unwrap();
+
+    let mut got = [None; 2];
+    for _ in 0..2 {
+        let resp = reply();
+        assert_eq!(resp.status, Status::Ok, "raw: {}", resp.raw);
+        let id = resp.id.unwrap() as usize;
+        assert!(got[id].is_none(), "double answer for id {id}");
+        got[id] = resp.score;
+    }
+    assert_eq!(got, [Some(want[0]), Some(want[1])]);
+    // A ping answered next proves no stray reply is still in flight.
+    writer.write_all(b"{\"cmd\":\"ping\"}\n").unwrap();
+    let pong = reply();
+    assert!(pong.status == Status::Ok && pong.id.is_none(), "raw: {}", pong.raw);
+    let snap = handle.shutdown();
+    assert_eq!(snap.completed, 2);
+    assert_eq!(snap.total.count(), 2);
+}

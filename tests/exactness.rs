@@ -3,12 +3,13 @@
 //! configuration, and all MM2-target baselines — produces identical results
 //! on identical inputs.
 
-use agatha_suite::align::block::block_grid_align;
+use agatha_suite::align::block::{block_grid_align, FillPrecision};
 use agatha_suite::align::guided::guided_align;
+use agatha_suite::align::simd::{self, BackendChoice};
 use agatha_suite::align::{Scoring, Task};
 use agatha_suite::baselines::{run_baseline, Baseline};
 use agatha_suite::core::{kernel::run_task, AgathaConfig, Pipeline};
-use agatha_suite::datasets::{generate, DatasetSpec, Tech};
+use agatha_suite::datasets::{generate, scenarios, DatasetSpec, Tech};
 use agatha_suite::gpu_sim::GpuSpec;
 
 fn small_dataset(tech: Tech, seed: u64, reads: usize) -> agatha_suite::datasets::Dataset {
@@ -128,5 +129,45 @@ fn handcrafted_edge_cases() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn host_choices_leave_simulated_time_identical() {
+    // Fill mode, lane precision and wavefront backend are host-side
+    // choices: they may change wall time, never what the simulated device
+    // does. Every one of them must reproduce the default run's scores,
+    // simulated milliseconds and kernel statistics exactly.
+    let wavefront = AgathaConfig::agatha().with_simd_fill(true);
+    let mut configs = vec![AgathaConfig::agatha(), AgathaConfig::agatha().with_simd_fill(false)];
+    for p in [FillPrecision::Auto, FillPrecision::I32, FillPrecision::I16] {
+        configs.push(wavefront.clone().with_fill_precision(p));
+    }
+    for (name, reads) in [("dna-short", 48), ("dna-long", 3)] {
+        let sc = scenarios::find(name).expect("registered scenario");
+        let scoring = (sc.scoring)();
+        let tasks = (sc.tasks)(11, reads);
+        let want = Pipeline::new(scoring, AgathaConfig::agatha()).align_batch(&tasks);
+        let check = |cfg: &AgathaConfig, label: &str| {
+            let got = Pipeline::new(scoring, cfg.clone()).align_batch(&tasks);
+            assert_eq!(got.results, want.results, "{name}, {label}: scores");
+            assert_eq!(
+                got.elapsed_ms.to_bits(),
+                want.elapsed_ms.to_bits(),
+                "{name}, {label}: simulated ms {} vs {}",
+                got.elapsed_ms,
+                want.elapsed_ms
+            );
+            assert_eq!(got.stats, want.stats, "{name}, {label}: kernel stats");
+        };
+        for cfg in &configs {
+            check(cfg, &format!("{cfg:?}"));
+        }
+        let restore = simd::backend_choice();
+        for backend in simd::supported_backends() {
+            simd::set_backend_choice(BackendChoice::Fixed(backend));
+            check(&wavefront, backend.name());
+        }
+        simd::set_backend_choice(restore);
     }
 }

@@ -138,8 +138,8 @@ proptest! {
         } else {
             AgathaConfig::agatha().with_slice_width(slice)
         };
-        // Pinned geometry: the adaptive choice depends on the fill mode, so
-        // whole-run equality across fills is only defined at a fixed tiling.
+        // Pinned geometry: whole-run equality across fills is only defined
+        // at a fixed tiling, and both tilings are swept.
         let cfg = cfg.with_block_dim(if wide { BlockDim::B16 } else { BlockDim::B8 });
         let scalar = run_task(&task, &s, &cfg.clone().with_simd_fill(false));
         let simd = run_task(&task, &s, &cfg.with_simd_fill(true));
